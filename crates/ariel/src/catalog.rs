@@ -4,12 +4,14 @@ use crate::error::{ArielError, ArielResult};
 use crate::rule::Rule;
 use ariel_network::RuleId;
 use ariel_query::RuleDef;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Named collection of installed rules.
 #[derive(Debug, Default)]
 pub struct RuleCatalog {
     rules: BTreeMap<String, Rule>,
+    /// Rule name by network id.
+    names: HashMap<u64, String>,
     next_id: u64,
 }
 
@@ -27,8 +29,7 @@ impl RuleCatalog {
         }
         let id = RuleId(self.next_id);
         self.next_id += 1;
-        let name = def.name.clone();
-        self.rules.insert(name, Rule::new(id, def));
+        self.insert(Rule::new(id, def));
         Ok(id)
     }
 
@@ -47,10 +48,14 @@ impl RuleCatalog {
                 id.0
             )));
         }
-        let name = def.name.clone();
-        self.rules.insert(name, Rule::new(id, def));
+        self.insert(Rule::new(id, def));
         self.next_id = self.next_id.max(id.0 + 1);
         Ok(())
+    }
+
+    fn insert(&mut self, rule: Rule) {
+        self.names.insert(rule.id.0, rule.name.clone());
+        self.rules.insert(rule.name.clone(), rule);
     }
 
     /// The id the next [`RuleCatalog::install`] will assign.
@@ -66,9 +71,12 @@ impl RuleCatalog {
 
     /// Remove a rule by name, returning it.
     pub fn remove(&mut self, name: &str) -> ArielResult<Rule> {
-        self.rules
+        let rule = self
+            .rules
             .remove(name)
-            .ok_or_else(|| ArielError::UnknownRule(name.to_string()))
+            .ok_or_else(|| ArielError::UnknownRule(name.to_string()))?;
+        self.names.remove(&rule.id.0);
+        Ok(rule)
     }
 
     /// Look up a rule by name.
@@ -89,7 +97,7 @@ impl RuleCatalog {
 
     /// Find the rule carrying a network id.
     pub fn by_id(&self, id: RuleId) -> Option<&Rule> {
-        self.rules.values().find(|r| r.id == id)
+        self.names.get(&id.0).and_then(|name| self.rules.get(name))
     }
 
     /// All rules, ordered by name.
@@ -150,9 +158,11 @@ mod tests {
     fn remove_and_missing() {
         let mut c = RuleCatalog::new();
         c.install(def("a", None)).unwrap();
+        let id = c.require("a").unwrap().id;
         assert!(c.remove("a").is_ok());
         assert!(matches!(c.remove("a"), Err(ArielError::UnknownRule(_))));
         assert!(c.require("a").is_err());
+        assert!(c.by_id(id).is_none(), "the id index forgets removed rules");
     }
 
     #[test]

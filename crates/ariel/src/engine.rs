@@ -2,15 +2,16 @@
 //! cycle (Fig. 1).
 
 use crate::action::ActionPlanner;
-use crate::agenda::{self, ConflictStrategy, Eligible};
+use crate::agenda::{Agenda, ConflictStrategy};
 use crate::catalog::RuleCatalog;
 use crate::delta::DeltaTracker;
 use crate::error::{ArielError, ArielResult};
 use crate::obs::{self, EngineObs};
 use crate::rule::RuleState;
 use ariel_network::{
-    MatchObs, Network, NetworkStats, ReteMode, ReteNetwork, RuleId, RuleStats, RuleTopology, Token,
-    TraceEventKind, TraceRecord, TraceRecorder, TraceSource, VirtualPolicy, DEFAULT_TRACE_CAPACITY,
+    MatchObs, Network, NetworkStats, PnodeChange, PnodeTable, ReteMode, ReteNetwork, RuleId,
+    RuleStats, RuleTopology, Token, TraceEventKind, TraceRecord, TraceRecorder, TraceSource,
+    VirtualPolicy, DEFAULT_TRACE_CAPACITY,
 };
 use ariel_query::{
     execute as execute_query, modify_action, parse_command, parse_script, CmdOutput, Command,
@@ -170,36 +171,24 @@ impl EngineNetwork {
         }
     }
 
-    fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<ariel_query::BoundVar>> {
+    /// Every active rule's P-node and the conflict set.
+    pub fn pnodes(&self) -> &PnodeTable {
         match self {
-            EngineNetwork::Treat(n) => n.drain_pnode(id),
-            EngineNetwork::Rete(n) => n.drain_pnode(id),
+            EngineNetwork::Treat(n) => n.pnodes(),
+            EngineNetwork::Rete(n) => n.pnodes(),
         }
     }
 
-    /// Replace a rule's P-node rows wholesale (the crash-recovery path:
-    /// priming rebuilds α/β state from relations, but consumed matches
-    /// are history the snapshot alone knows).
-    pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<ariel_query::BoundVar>>) {
+    pub(crate) fn pnodes_mut(&mut self) -> &mut PnodeTable {
         match self {
-            EngineNetwork::Treat(n) => n.set_pnode_rows(id, rows),
-            EngineNetwork::Rete(n) => n.set_pnode_rows(id, rows),
-        }
-    }
-
-    fn rules_with_matches(&self) -> Vec<RuleId> {
-        match self {
-            EngineNetwork::Treat(n) => n.rules_with_matches(),
-            EngineNetwork::Rete(n) => n.rules_with_matches(),
+            EngineNetwork::Treat(n) => n.pnodes_mut(),
+            EngineNetwork::Rete(n) => n.pnodes_mut(),
         }
     }
 
     /// The P-node of an active rule.
     pub fn pnode(&self, id: RuleId) -> Option<&Pnode> {
-        match self {
-            EngineNetwork::Treat(n) => n.pnode(id),
-            EngineNetwork::Rete(n) => n.pnode(id),
-        }
+        self.pnodes().get(id)
     }
 
     /// Aggregate network statistics.
@@ -398,13 +387,14 @@ pub struct Ariel {
     pub(crate) network: EngineNetwork,
     planner: ActionPlanner,
     pub(crate) options: EngineOptions,
-    /// Query-modified action per active rule.
-    actions: HashMap<u64, Vec<Command>>,
+    /// Query-modified action per active rule (shared with each firing).
+    actions: HashMap<u64, Arc<[Command]>>,
     /// Relations referenced by each active rule's condition.
     cond_rels: HashMap<u64, HashSet<String>>,
-    /// Recency bookkeeping for conflict resolution.
-    pub(crate) last_matched: HashMap<u64, u64>,
-    pub(crate) prev_sizes: HashMap<u64, usize>,
+    /// The eligible rules in firing order (conflict resolution).
+    pub(crate) agenda: Agenda,
+    /// Reused buffer for the network's P-node change list.
+    pnode_changes: Vec<PnodeChange>,
     pub(crate) tick: u64,
     pub(crate) stats: EngineStats,
     /// Action executions per rule id (the `ariel_rule_firings_total`
@@ -459,6 +449,7 @@ impl Ariel {
         };
         let mut catalog = Catalog::new();
         catalog.set_intern_strings(options.intern_strings);
+        let conflict = options.conflict;
         let mut engine = Ariel {
             catalog,
             rules: RuleCatalog::new(),
@@ -467,8 +458,8 @@ impl Ariel {
             options,
             actions: HashMap::new(),
             cond_rels: HashMap::new(),
-            last_matched: HashMap::new(),
-            prev_sizes: HashMap::new(),
+            agenda: Agenda::new(conflict),
+            pnode_changes: Vec::new(),
             tick: 0,
             stats: EngineStats::default(),
             firings_by_rule: HashMap::new(),
@@ -625,7 +616,7 @@ impl Ariel {
         if rule.is_active() {
             return Err(ArielError::AlreadyActive(name.to_string()));
         }
-        let id = rule.id;
+        let (id, priority) = (rule.id, rule.priority);
         let def = rule.def.clone();
         let resolved = Resolver::new(&self.catalog).resolve_condition(
             def.on.as_ref(),
@@ -641,9 +632,10 @@ impl Ariel {
             self.network.remove_rule(id);
             return Err(e.into());
         }
-        self.actions.insert(id.0, modified);
+        self.actions.insert(id.0, modified.into());
         self.cond_rels.insert(id.0, rels);
         self.rules.get_mut(name).expect("installed").state = RuleState::Active;
+        self.agenda.register(id, priority, name);
         self.note_matches();
         Ok(())
     }
@@ -660,8 +652,7 @@ impl Ariel {
         self.planner.invalidate(id.0);
         self.actions.remove(&id.0);
         self.cond_rels.remove(&id.0);
-        self.last_matched.remove(&id.0);
-        self.prev_sizes.remove(&id.0);
+        self.agenda.unregister(id);
         self.rules.get_mut(name).expect("installed").state = RuleState::Installed;
         Ok(())
     }
@@ -766,7 +757,6 @@ impl Ariel {
         if let Some(e) = failed {
             return Err(e);
         }
-        self.note_matches();
         self.recognize_act()?;
         Ok(outputs)
     }
@@ -802,40 +792,30 @@ impl Ariel {
     }
 
     fn recognize_act(&mut self) -> ArielResult<()> {
+        self.note_matches();
         let result = self.recognize_act_inner();
         // per-transition bindings are broken at quiescence (§4.3.2),
         // including on the error path
         self.network.flush_transition_state();
-        self.resync_sizes();
+        self.note_matches();
+        #[cfg(debug_assertions)]
+        self.check_agenda();
         result
     }
 
     fn recognize_act_inner(&mut self) -> ArielResult<()> {
         let mut firings = 0usize;
         loop {
-            // match: the discrimination network maintained the P-nodes
-            let eligible: Vec<Eligible> = self
-                .network
-                .rules_with_matches()
-                .into_iter()
-                .filter_map(|id| {
-                    let rule = self.rules.by_id(id)?;
-                    Some(Eligible {
-                        id,
-                        name: rule.name.clone(),
-                        priority: rule.priority,
-                        last_matched: self.last_matched.get(&id.0).copied().unwrap_or(0),
-                    })
-                })
-                .collect();
-            // conflict resolution
-            let Some(chosen) = agenda::select(self.options.conflict, &eligible).cloned() else {
+            #[cfg(debug_assertions)]
+            self.check_agenda();
+            // conflict resolution over the P-nodes the network maintained
+            let Some(id) = self.agenda.first() else {
                 return Ok(());
             };
             if let Some(tr) = self.network.trace() {
                 tr.record(TraceEventKind::AgendaSchedule {
-                    rule: chosen.id.0,
-                    eligible: eligible.len() as u64,
+                    rule: id.0,
+                    eligible: self.agenda.len() as u64,
                 });
             }
             // act
@@ -846,38 +826,32 @@ impl Ariel {
             }
             firings += 1;
             self.stats.firings += 1;
-            *self.firings_by_rule.entry(chosen.id.0).or_insert(0) += 1;
-            let rows = self.network.drain_pnode(chosen.id);
-            let drained = rows.len() as u64;
-            let cols = self
+            *self.firings_by_rule.entry(id.0).or_insert(0) += 1;
+            let pnode = self
                 .network
-                .pnode(chosen.id)
-                .expect("active rule")
-                .cols()
-                .to_vec();
-            let mut pnode = Pnode::new(cols);
-            for r in rows {
-                pnode.push(r);
-            }
-            let action = self.actions.get(&chosen.id.0).expect("active rule").clone();
+                .pnodes_mut()
+                .drain(id)
+                .expect("queued rules are active");
+            let drained = pnode.len() as u64;
+            let action = Arc::clone(self.actions.get(&id.0).expect("active rule"));
             let action_start = self.obs.as_ref().map(|_| std::time::Instant::now());
             let outcome = self
                 .planner
-                .execute_action(chosen.id.0, &action, &pnode, &mut self.catalog)
+                .execute_action(id.0, &action, &pnode, &mut self.catalog)
                 .map_err(|e| ArielError::RuleAction {
-                    rule: chosen.name.clone(),
+                    rule: self.agenda.name(id).unwrap_or_default().to_string(),
                     source: Box::new(e.into()),
                 })?;
             let action_ns = action_start.map(|t0| t0.elapsed().as_nanos() as u64);
             if let (Some(obs), Some(ns)) = (self.obs.as_mut(), action_ns) {
-                obs.record_action(chosen.id.0, ns);
+                obs.record_action(id.0, ns);
             }
             // the firing's provenance (depth, cascade parent) comes from
             // the rule's most recent instantiation, recorded in the network
             let firing_ctx = self
                 .network
                 .trace()
-                .map(|tr| tr.record_firing(chosen.id.0, drained, action_ns));
+                .map(|tr| tr.record_firing(id.0, drained, action_ns));
             self.notifications
                 .extend(outcome.notifications.iter().cloned());
             // the action is itself a transition
@@ -887,7 +861,7 @@ impl Ariel {
                 tr.begin_transition(self.tick, fdepth + 1, Some(fseq));
                 tr.record(TraceEventKind::TransitionBegin {
                     source: TraceSource::RuleAction {
-                        rule: chosen.id.0,
+                        rule: id.0,
                         firing: fseq,
                     },
                 });
@@ -916,27 +890,51 @@ impl Ariel {
         }
     }
 
-    /// Record which rules gained matches this tick (recency for conflict
-    /// resolution).
-    fn note_matches(&mut self) {
-        for id in self.network.rules_with_matches() {
-            let len = self.network.pnode(id).map(|p| p.len()).unwrap_or(0);
-            let prev = self.prev_sizes.get(&id.0).copied().unwrap_or(0);
-            if len > prev {
-                self.last_matched.insert(id.0, self.tick);
+    /// Bring the agenda in step with the P-nodes that changed since the
+    /// last call: a rule whose P-node gained rows is queued with the
+    /// current tick as its recency, one whose P-node emptied leaves.
+    pub(crate) fn note_matches(&mut self) {
+        let mut changes = std::mem::take(&mut self.pnode_changes);
+        self.network.pnodes_mut().take_changes(&mut changes);
+        for c in changes.drain(..) {
+            if !c.matched {
+                self.agenda.dequeue(c.rule);
+            } else if c.grew {
+                self.agenda.requeue(c.rule, self.tick);
             }
-            self.prev_sizes.insert(id.0, len);
         }
+        self.pnode_changes = changes;
     }
 
-    pub(crate) fn resync_sizes(&mut self) {
-        for (key, size) in self.prev_sizes.iter_mut() {
-            *size = self
-                .network
-                .pnode(RuleId(*key))
-                .map(|p| p.len())
-                .unwrap_or(0);
-        }
+    /// Check the incremental conflict set and the agenda against a scan of
+    /// every P-node, and the agenda's choice against `agenda::select`.
+    #[cfg(debug_assertions)]
+    fn check_agenda(&self) {
+        let pnodes = self.network.pnodes();
+        let scan = pnodes.scan_conflict_set();
+        assert_eq!(
+            pnodes.conflict_set().collect::<Vec<_>>(),
+            scan,
+            "incremental conflict set"
+        );
+        let eligible: Vec<_> = scan
+            .iter()
+            .map(|id| {
+                self.agenda
+                    .describe(*id)
+                    .unwrap_or_else(|| panic!("eligible rule {id} is not on the agenda"))
+            })
+            .collect();
+        assert_eq!(
+            self.agenda.len(),
+            eligible.len(),
+            "agenda holds only eligible rules"
+        );
+        assert_eq!(
+            self.agenda.first(),
+            crate::agenda::select(self.options.conflict, &eligible).map(|e| e.id),
+            "agenda choice"
+        );
     }
 
     // ----- token-level access (benchmarks) -------------------------------------

@@ -8,8 +8,8 @@
 //! * `snapshot.bin` — a full engine image written by
 //!   [`Ariel::checkpoint`]: every relation's physical state, the rule
 //!   catalog (definitions re-rendered to ARL source), the P-node rows of
-//!   every active rule, and the conflict-resolution bookkeeping
-//!   (tick, recency, previous sizes). Written to a temp file and
+//!   every active rule, and the conflict-resolution bookkeeping (tick,
+//!   and the recency of every eligible rule). Written to a temp file and
 //!   renamed, so a crash mid-checkpoint leaves the old snapshot intact.
 //! * `wal.log` — one record per event after the snapshot: top-level
 //!   commands, transitions (the resolved DML command texts — the `[I, M]`
@@ -51,7 +51,9 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 pub const WAL_FILE: &str = "wal.log";
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"ARSN";
-const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 dropped the per-rule previous P-node sizes that version 1
+/// kept for recency, and keeps recency for eligible rules only.
+const SNAPSHOT_VERSION: u32 = 2;
 
 // WAL record kinds (first payload byte).
 const REC_CMD: u8 = 1;
@@ -130,24 +132,21 @@ fn get_bound_var(dec: &mut Dec<'_>) -> ArielResult<BoundVar> {
     Ok(BoundVar { tid, tuple, prev })
 }
 
-fn put_u64_map(buf: &mut Vec<u8>, map: &std::collections::HashMap<u64, u64>) {
-    let mut entries: Vec<_> = map.iter().collect();
-    entries.sort();
-    put_u32(buf, entries.len() as u32);
-    for (k, v) in entries {
+fn put_u64_pairs(buf: &mut Vec<u8>, pairs: &[(u64, u64)]) {
+    put_u32(buf, pairs.len() as u32);
+    for (k, v) in pairs {
         put_u64(buf, *k);
         put_u64(buf, *v);
     }
 }
 
-fn get_u64_map(dec: &mut Dec<'_>) -> ArielResult<std::collections::HashMap<u64, u64>> {
+fn get_u64_pairs(dec: &mut Dec<'_>) -> ArielResult<Vec<(u64, u64)>> {
     let n = dec.u32()? as usize;
-    let mut map = std::collections::HashMap::with_capacity(n.min(1 << 16));
+    let mut pairs = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        let k = dec.u64()?;
-        map.insert(k, dec.u64()?);
+        pairs.push((dec.u64()?, dec.u64()?));
     }
-    Ok(map)
+    Ok(pairs)
 }
 
 /// Serialize the full engine state into a snapshot body.
@@ -186,10 +185,7 @@ fn encode_snapshot(db: &Ariel) -> Vec<u8> {
             }
         }
     }
-    put_u64_map(&mut buf, &db.last_matched);
-    let sizes: std::collections::HashMap<u64, u64> =
-        db.prev_sizes.iter().map(|(k, v)| (*k, *v as u64)).collect();
-    put_u64_map(&mut buf, &sizes);
+    put_u64_pairs(&mut buf, &db.agenda.recencies());
     buf
 }
 
@@ -210,6 +206,8 @@ impl Ariel {
         // detach the writer first (folding its telemetry into the
         // cumulative totals): its Drop syncs any unsynced batch
         self.wal_detach();
+        // P-nodes a failed transition grew are not on the agenda yet
+        self.note_matches();
         let body = encode_snapshot(self);
         let mut image = Vec::with_capacity(16 + body.len());
         image.extend_from_slice(SNAPSHOT_MAGIC);
@@ -335,13 +333,15 @@ impl Ariel {
                 }
                 rows.push(row);
             }
-            db.network.set_pnode_rows(id, rows);
+            db.network.pnodes_mut().set_rows(id, rows);
         }
-        db.last_matched = get_u64_map(&mut dec)?;
-        db.prev_sizes = get_u64_map(&mut dec)?
-            .into_iter()
-            .map(|(k, v)| (k, v as usize))
-            .collect();
+        db.note_matches();
+        for (id, recency) in get_u64_pairs(&mut dec)? {
+            let id = RuleId(id);
+            if db.network.pnode(id).is_some_and(|p| !p.is_empty()) {
+                db.agenda.requeue(id, recency);
+            }
+        }
         db.tick = tick;
         db.stats = stats;
         // replay the log tail through the ordinary execute path, with no

@@ -16,6 +16,7 @@ pub mod arena;
 pub mod key;
 pub mod obs;
 mod plan;
+pub mod pnodes;
 pub mod pred;
 pub mod rete;
 pub mod selnet;
@@ -26,6 +27,7 @@ pub mod treat;
 pub use alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, EventReq, RuleId};
 pub use key::{KeyBuilder, SmallKey};
 pub use obs::{MatchObs, NodeObs, RuleObs};
+pub use pnodes::{PnodeChange, PnodeTable};
 pub use pred::SelectionPredicate;
 pub use rete::{ReteMode, ReteNetwork};
 pub use selnet::SelectionNetwork;

@@ -40,6 +40,7 @@ use crate::alpha::{AlphaCounters, AlphaEntry, AlphaId, AlphaKind, AlphaNode, Ban
 use crate::key::{KeyBuilder, SmallKey};
 use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
+use crate::pnodes::PnodeTable;
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::token::Token;
@@ -260,9 +261,8 @@ struct ReteRule {
     /// Network mode at compile time ([`ReteMode::Indexed`] = true).
     indexed: bool,
     /// `betas[i]`: partial matches over vars `0..=i`; the last level feeds
-    /// the P-node.
+    /// the P-node (held in the network's [`PnodeTable`]).
     betas: Vec<BetaMemory>,
-    pnode: Pnode,
     /// Always-on counter: tokens that passed one of this rule's α-tests.
     tokens_in: u64,
     /// Always-on counter: right activations at levels above 0.
@@ -278,6 +278,8 @@ pub struct ReteNetwork {
     alphas: Vec<Option<AlphaNode>>,
     free: Vec<usize>,
     rules: BTreeMap<u64, ReteRule>,
+    /// Every rule's P-node, and the conflict set kept from them.
+    pnodes: PnodeTable,
     policy: VirtualPolicy,
     mode: ReteMode,
     tokens_processed: u64,
@@ -305,6 +307,7 @@ impl ReteNetwork {
             alphas: Vec::new(),
             free: Vec::new(),
             rules: BTreeMap::new(),
+            pnodes: PnodeTable::default(),
             policy,
             mode: ReteMode::Indexed,
             tokens_processed: 0,
@@ -478,6 +481,7 @@ impl ReteNetwork {
                 Self::configure_beta_index(beta, &plan, lvl);
             }
         }
+        self.pnodes.insert(id, cols);
         self.rules.insert(
             id.0,
             ReteRule {
@@ -487,7 +491,6 @@ impl ReteNetwork {
                 plan,
                 indexed,
                 betas,
-                pnode: Pnode::new(cols),
                 tokens_in: 0,
                 join_probes: 0,
                 pnode_inserts: 0,
@@ -645,10 +648,10 @@ impl ReteNetwork {
         }
         let rule = self.rules.get_mut(&id.0).unwrap();
         for (lvl, partials) in levels.into_iter().enumerate() {
+            if lvl == nvars - 1 {
+                self.pnodes.extend(id, partials.iter().cloned());
+            }
             for p in partials {
-                if lvl == nvars - 1 {
-                    rule.pnode.push(p.clone());
-                }
                 rule.betas[lvl].insert(p, nvars);
             }
         }
@@ -1215,9 +1218,7 @@ impl ReteNetwork {
                     }
                 }
                 rule.pnode_inserts += inserted;
-                for p in &current {
-                    rule.pnode.push(p.clone());
-                }
+                self.pnodes.extend(rule_id, current.iter().cloned());
                 if let Some(obs) = &self.obs {
                     obs.with_rule(rule_id, |r| r.pnode_inserts += inserted);
                 }
@@ -1239,7 +1240,7 @@ impl ReteNetwork {
             for beta in rule.betas[var..].iter_mut() {
                 beta.remove_where(var, token.tid, nvars);
             }
-            rule.pnode.retract(var, token.tid);
+            self.pnodes.retract(rule_id, var, token.tid);
         }
     }
 
@@ -1248,6 +1249,7 @@ impl ReteNetwork {
         let Some(rule) = self.rules.remove(&id.0) else {
             return;
         };
+        self.pnodes.remove(id);
         for aid in rule.alphas {
             self.selnet.unsubscribe(aid);
             self.alphas[aid.0] = None;
@@ -1257,38 +1259,17 @@ impl ReteNetwork {
 
     /// The P-node of a rule.
     pub fn pnode(&self, id: RuleId) -> Option<&Pnode> {
-        self.rules.get(&id.0).map(|r| &r.pnode)
+        self.pnodes.get(id)
     }
 
-    /// Drain a rule's P-node (consumed instantiations at rule firing).
-    pub fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<BoundVar>> {
-        self.rules
-            .get_mut(&id.0)
-            .map(|r| r.pnode.drain())
-            .unwrap_or_default()
+    /// Every rule's P-node and the conflict set.
+    pub fn pnodes(&self) -> &PnodeTable {
+        &self.pnodes
     }
 
-    /// Replace a rule's P-node rows wholesale (crash recovery: priming
-    /// rebuilds α/β state from relations, but a P-node also carries
-    /// *history* — matches consumed by earlier firings are gone — so the
-    /// recovered engine overwrites the primed rows with the snapshotted
-    /// ones). No-op for unknown rules.
-    pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<BoundVar>>) {
-        if let Some(r) = self.rules.get_mut(&id.0) {
-            r.pnode.clear();
-            for row in rows {
-                r.pnode.push(row);
-            }
-        }
-    }
-
-    /// Rules whose P-node is non-empty, ascending by id.
-    pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .filter(|(_, r)| !r.pnode.is_empty())
-            .map(|(id, _)| RuleId(*id))
-            .collect()
+    /// Mutable P-node table (see [`crate::Network::pnodes_mut`]).
+    pub fn pnodes_mut(&mut self) -> &mut PnodeTable {
+        &mut self.pnodes
     }
 
     /// Flush per-transition state. The Rete baseline compiles pattern-only
@@ -1300,9 +1281,10 @@ impl ReteNetwork {
     /// [`crate::Network::rule_stats`], plus the β fields only Rete fills).
     pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
         let rule = self.rules.get(&id.0)?;
+        let pnode = self.pnodes.get(id).expect("every rule has a P-node");
         let mut s = RuleStats {
-            pnode_rows: rule.pnode.len(),
-            pnode_bytes: rule.pnode.heap_size(),
+            pnode_rows: pnode.len(),
+            pnode_bytes: pnode.heap_size(),
             tokens_in: rule.tokens_in,
             join_probes: rule.join_probes,
             pnode_inserts: rule.pnode_inserts,
@@ -1374,9 +1356,11 @@ impl ReteNetwork {
                 s.stored_join_candidates += a.counters.join_candidates.get();
             }
         }
+        for (_, p) in self.pnodes.iter() {
+            s.pnode_rows += p.len();
+            s.pnode_bytes += p.heap_size();
+        }
         for r in self.rules.values() {
-            s.pnode_rows += r.pnode.len();
-            s.pnode_bytes += r.pnode.heap_size();
             s.join_probes += r.join_probes;
             s.pnode_inserts += r.pnode_inserts;
             for b in &r.betas {
@@ -1398,8 +1382,10 @@ impl ReteNetwork {
     /// [`crate::Network::rule_topology`]).
     pub fn rule_topology(&self, id: RuleId) -> Option<RuleTopology> {
         let rule = self.rules.get(&id.0)?;
-        let vars = rule
-            .pnode
+        let vars = self
+            .pnodes
+            .get(id)
+            .expect("every rule has a P-node")
             .cols()
             .iter()
             .zip(rule.alphas.iter())

@@ -38,6 +38,7 @@ use crate::arena;
 use crate::key::{KeyBuilder, SmallKey};
 use crate::obs::MatchObs;
 use crate::plan::{BandSpec, CompositeSpec, JoinPlan};
+use crate::pnodes::PnodeTable;
 use crate::pred::SelectionPredicate;
 use crate::selnet::SelectionNetwork;
 use crate::token::{EventSpecifier, Token, TokenKind};
@@ -76,7 +77,8 @@ struct RuleVar {
     alpha: AlphaId,
 }
 
-/// A compiled rule: its α-nodes, join conjuncts, and P-node.
+/// A compiled rule: its α-nodes and join conjuncts (its P-node lives in
+/// the network's [`PnodeTable`]).
 #[derive(Debug)]
 struct RuleNode {
     vars: Vec<RuleVar>,
@@ -84,7 +86,6 @@ struct RuleNode {
     join_conjuncts: Vec<RExpr>,
     /// Cached per-rule join plan over `join_conjuncts`.
     plan: JoinPlan,
-    pnode: Pnode,
     /// Original resolved condition spec, used for activation priming.
     spec: QuerySpec,
     /// Number of dynamic (per-transition) α-nodes.
@@ -276,6 +277,8 @@ pub struct Network {
     free: Vec<usize>,
     selnet: SelectionNetwork,
     rules: BTreeMap<u64, RuleNode>,
+    /// Every rule's P-node, and the conflict set kept from them.
+    pnodes: PnodeTable,
     /// Always-on counter: tokens pushed through [`Self::process_batch`].
     tokens_processed: u64,
     /// Whether β-joins may probe indexes — α-memory hash join indexes on
@@ -388,6 +391,7 @@ impl Default for Network {
             free: Vec::new(),
             selnet: SelectionNetwork::default(),
             rules: BTreeMap::new(),
+            pnodes: PnodeTable::default(),
             tokens_processed: 0,
             join_indexing: true,
             composite_keys: true,
@@ -784,13 +788,13 @@ impl Network {
             });
         }
         let pattern_only = cond.on_var.is_none() && cond.trans_vars.is_empty();
+        self.pnodes.insert(id, cols);
         self.rules.insert(
             id.0,
             RuleNode {
                 vars,
                 join_conjuncts,
                 plan,
-                pnode: Pnode::new(cols),
                 spec: cond.spec.clone(),
                 n_dynamic,
                 pattern_only,
@@ -844,6 +848,7 @@ impl Network {
         let Some(rule) = self.rules.remove(&id.0) else {
             return;
         };
+        self.pnodes.remove(id);
         for var in rule.vars {
             self.selnet.unsubscribe(var.alpha);
             self.alphas[var.alpha.0] = None;
@@ -905,15 +910,15 @@ impl Network {
                 nvars: spec.vars.len(),
             };
             let rows = ariel_query::run_plan(&plan, &ctx)?;
-            let rule = self.rules.get_mut(&id.0).unwrap();
-            for row in rows {
-                let bindings: Vec<BoundVar> = row
-                    .slots
-                    .into_iter()
-                    .map(|s| s.expect("full condition binds every var"))
-                    .collect();
-                rule.pnode.push(bindings);
-            }
+            self.pnodes.extend(
+                id,
+                rows.into_iter().map(|row| {
+                    row.slots
+                        .into_iter()
+                        .map(|s| s.expect("full condition binds every var"))
+                        .collect()
+                }),
+            );
         }
         Ok(())
     }
@@ -1252,8 +1257,8 @@ impl Network {
                 // single-variable rule: straight to the P-node, as in
                 // `insert_and_propagate`
                 let start = self.obs.as_ref().map(|_| Instant::now());
+                self.pnodes.push(s.rule_id, vec![s.seed.clone()]);
                 let rule = self.rules.get_mut(&s.rule_id.0).expect("rule exists");
-                rule.pnode.push(vec![s.seed.clone()]);
                 rule.pnode_inserts += 1;
                 if let Some(obs) = &self.obs {
                     obs.with_rule(s.rule_id, |r| {
@@ -1273,9 +1278,7 @@ impl Network {
             let rule = self.rules.get_mut(&s.rule_id.0).expect("rule exists");
             rule.join_probes += 1;
             rule.pnode_inserts += produced;
-            for r in results.drain(..) {
-                rule.pnode.push(r);
-            }
+            self.pnodes.extend(s.rule_id, results.drain(..));
             arena::give_results(results);
             if let Some(obs) = &self.obs {
                 obs.with_rule(s.rule_id, |r| {
@@ -1332,8 +1335,8 @@ impl Network {
             if let Some(tr) = &self.trace {
                 tr.record_instantiation(rule_id.0, vec![seed.tid.map(|t| t.0)]);
             }
+            self.pnodes.push(rule_id, vec![seed]);
             let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
-            rule.pnode.push(vec![seed]);
             rule.pnode_inserts += 1;
             if let Some(obs) = &self.obs {
                 obs.with_rule(rule_id, |r| {
@@ -1370,9 +1373,7 @@ impl Network {
         let rule = self.rules.get_mut(&rule_id.0).expect("rule exists");
         rule.join_probes += 1;
         rule.pnode_inserts += produced;
-        for r in results.drain(..) {
-            rule.pnode.push(r);
-        }
+        self.pnodes.extend(rule_id, results.drain(..));
         arena::give_results(results);
         if let Some(obs) = &self.obs {
             obs.with_rule(rule_id, |r| {
@@ -1975,9 +1976,7 @@ impl Network {
                 a.remove(token.tid);
                 (a.rule, a.var)
             };
-            if let Some(rule) = self.rules.get_mut(&rule_id.0) {
-                rule.pnode.retract(var, token.tid);
-            }
+            self.pnodes.retract(rule_id, var, token.tid);
         }
         // ON DELETE conditions: the dying tuple *matches* them (§4.3.1,
         // case 4: "a delete− … will match any applicable on delete rule
@@ -2035,55 +2034,36 @@ impl Network {
                 a.flush();
             }
         }
-        for rule in self.rules.values_mut() {
+        for (id, rule) in &self.rules {
             if rule.n_dynamic > 0 {
-                rule.pnode.clear();
+                self.pnodes.drain(RuleId(*id));
             }
         }
     }
 
     /// The P-node of a rule.
     pub fn pnode(&self, id: RuleId) -> Option<&Pnode> {
-        self.rules.get(&id.0).map(|r| &r.pnode)
+        self.pnodes.get(id)
     }
 
-    /// Drain a rule's P-node (consumed instantiations at rule firing).
-    pub fn drain_pnode(&mut self, id: RuleId) -> Vec<Vec<BoundVar>> {
-        self.rules
-            .get_mut(&id.0)
-            .map(|r| r.pnode.drain())
-            .unwrap_or_default()
+    /// Every rule's P-node and the conflict set.
+    pub fn pnodes(&self) -> &PnodeTable {
+        &self.pnodes
     }
 
-    /// Replace a rule's P-node rows wholesale (crash recovery: priming
-    /// rebuilds α/β state from relations, but a P-node also carries
-    /// *history* — matches consumed by earlier firings are gone — so the
-    /// recovered engine overwrites the primed rows with the snapshotted
-    /// ones). No-op for unknown rules.
-    pub fn set_pnode_rows(&mut self, id: RuleId, rows: Vec<Vec<BoundVar>>) {
-        if let Some(r) = self.rules.get_mut(&id.0) {
-            r.pnode.clear();
-            for row in rows {
-                r.pnode.push(row);
-            }
-        }
-    }
-
-    /// Rules whose P-node is non-empty, ascending by id.
-    pub fn rules_with_matches(&self) -> Vec<RuleId> {
-        self.rules
-            .iter()
-            .filter(|(_, r)| !r.pnode.is_empty())
-            .map(|(id, _)| RuleId(*id))
-            .collect()
+    /// Mutable P-node table: a firing drains its rule's P-node, recovery
+    /// restores snapshotted rows, and the engine takes the change list.
+    pub fn pnodes_mut(&mut self) -> &mut PnodeTable {
+        &mut self.pnodes
     }
 
     /// Memory statistics for one rule.
     pub fn rule_stats(&self, id: RuleId) -> Option<RuleStats> {
         let rule = self.rules.get(&id.0)?;
+        let pnode = self.pnodes.get(id).expect("every rule has a P-node");
         let mut s = RuleStats {
-            pnode_rows: rule.pnode.len(),
-            pnode_bytes: rule.pnode.heap_size(),
+            pnode_rows: pnode.len(),
+            pnode_bytes: pnode.heap_size(),
             tokens_in: rule.tokens_in,
             join_probes: rule.join_probes,
             pnode_inserts: rule.pnode_inserts,
@@ -2150,10 +2130,12 @@ impl Network {
             }
         }
         for r in self.rules.values() {
-            s.pnode_rows += r.pnode.len();
-            s.pnode_bytes += r.pnode.heap_size();
             s.join_probes += r.join_probes;
             s.pnode_inserts += r.pnode_inserts;
+        }
+        for (_, p) in self.pnodes.iter() {
+            s.pnode_rows += p.len();
+            s.pnode_bytes += p.heap_size();
         }
         s
     }
@@ -2717,7 +2699,7 @@ mod tests {
         assert!(net.pnode(RuleId(1)).is_none());
         let (tid, t) = insert_emp(&cat, "x", 99_999.0, 1, 1);
         net.process_token(&append_token(tid, t), &cat).unwrap();
-        assert!(net.rules_with_matches().is_empty());
+        assert_eq!(net.pnodes().conflict_set().len(), 0);
         // id reusable
         let rc2 = cond(&cat, None, "emp.sal > 1", &[]);
         net.add_rule(RuleId(1), &rc2, &VirtualPolicy::AllStored, &cat)
@@ -2882,13 +2864,11 @@ mod tests {
                 .unwrap();
             net.prime(RuleId(id), &cat).unwrap();
         }
-        assert_eq!(
-            net.rules_with_matches(),
-            vec![RuleId(1), RuleId(2), RuleId(3)]
-        );
-        let drained = net.drain_pnode(RuleId(2));
+        let conflict_set = |net: &Network| net.pnodes().conflict_set().collect::<Vec<_>>();
+        assert_eq!(conflict_set(&net), vec![RuleId(1), RuleId(2), RuleId(3)]);
+        let drained = net.pnodes_mut().drain(RuleId(2)).unwrap();
         assert_eq!(drained.len(), 1);
-        assert_eq!(net.rules_with_matches(), vec![RuleId(1), RuleId(3)]);
+        assert_eq!(conflict_set(&net), vec![RuleId(1), RuleId(3)]);
     }
 
     #[test]

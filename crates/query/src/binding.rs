@@ -8,6 +8,7 @@
 
 use ariel_storage::{SchemaRef, Tid, Tuple};
 use std::fmt;
+use std::sync::Arc;
 
 /// One tuple variable bound to a concrete tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,9 +101,10 @@ pub struct PnodeCol {
 }
 
 /// The P-node: matched variable bindings awaiting rule execution.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Pnode {
-    cols: Vec<PnodeCol>,
+    /// Shared, so handing the rows to a firing costs no column copy.
+    cols: Arc<[PnodeCol]>,
     rows: Vec<Vec<BoundVar>>,
 }
 
@@ -110,7 +112,7 @@ impl Pnode {
     /// New empty P-node with the given columns.
     pub fn new(cols: Vec<PnodeCol>) -> Self {
         Pnode {
-            cols,
+            cols: cols.into(),
             rows: Vec::new(),
         }
     }
@@ -155,9 +157,13 @@ impl Pnode {
         before - self.rows.len()
     }
 
-    /// Drain all instantiations (consumed by a rule firing).
-    pub fn drain(&mut self) -> Vec<Vec<BoundVar>> {
-        std::mem::take(&mut self.rows)
+    /// Drain all instantiations (consumed by a rule firing): they come
+    /// back as a P-node with the same columns, and this one is left empty.
+    pub fn drain(&mut self) -> Pnode {
+        Pnode {
+            cols: Arc::clone(&self.cols),
+            rows: std::mem::take(&mut self.rows),
+        }
     }
 
     /// Remove all instantiations without returning them.
@@ -247,9 +253,11 @@ mod tests {
             has_prev: false,
         }]);
         p.push(vec![bv(1, 1)]);
-        let rows = p.drain();
-        assert_eq!(rows.len(), 1);
+        let drained = p.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained.cols()[0].var, "a", "columns travel with the rows");
         assert!(p.is_empty());
+        assert_eq!(p.cols().len(), 1, "the drained P-node keeps its columns");
     }
 
     #[test]

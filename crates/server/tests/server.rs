@@ -1,6 +1,7 @@
 //! End-to-end tests for the TCP server: concurrent sessions driving rule
-//! firings, session isolation, wire-level misbehaviour, a client killed
-//! mid-batch, and leak-free shutdown.
+//! firings, session isolation, wire-level misbehaviour and a client killed
+//! mid-batch. Leak-free shutdown is checked in `shutdown.rs`, a process of
+//! its own.
 
 use ariel::{Ariel, EngineOptions};
 use ariel_server::protocol::{
@@ -492,41 +493,4 @@ fn notifications_reach_the_session() {
     assert_eq!(loud.notes[0].0, "bigkv");
     assert_eq!(loud.notes[0].1.rows.len(), 1);
     handle.shutdown();
-}
-
-#[test]
-fn client_initiated_shutdown_and_no_leaked_threads() {
-    let (addr, handle) = spawn_server(64);
-    let mut c = Client::connect(addr).unwrap();
-    c.command("append kv (k = 1, v = 1)").unwrap();
-
-    let before = thread_count();
-    c.shutdown().unwrap();
-    // join() returns only after every reader/executor/accept thread joined
-    let (stats, _engine) = handle.join();
-    assert_eq!(stats.sessions, 1);
-    let after = thread_count();
-    assert!(
-        after <= before,
-        "no threads outlive the server (before={before}, after={after})"
-    );
-
-    // the port is released
-    assert!(
-        TcpStream::connect(addr).is_err() || {
-            // a racing TIME_WAIT accept is possible; a write must then fail
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_frame(&mut s, Opcode::Hello, &encode_hello_client()).is_err()
-                || read_frame(&mut s).is_err()
-        }
-    );
-}
-
-/// Count live threads in this process via /proc (linux-only, which is
-/// where CI runs; elsewhere fall back to a constant so the assertion
-/// trivially holds).
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
 }

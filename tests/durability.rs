@@ -336,6 +336,49 @@ fn recovery_does_not_refire_consumed_matches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint keeps the recency of pending rules — counting rows that a
+/// failed transition added, which no recognize-act cycle has seen yet —
+/// so the recovered engine fires them in the live engine's order.
+#[test]
+fn pending_rule_recency_survives_recovery() {
+    let dir = scratch("recency");
+    let options = EngineOptions {
+        durability: Durability::Commit,
+        ..Default::default()
+    };
+    let mut db = Ariel::with_options(options.clone());
+    db.execute("create t (a = int); create s (a = int); create log (n = string, a = int)")
+        .unwrap();
+    db.execute("append t (a = 1)").unwrap();
+    db.execute("append s (a = 1)").unwrap();
+    // both rules are primed with one pending row at the same tick, where
+    // `rx` would win on its name
+    db.execute(r#"define rule rx if t.a > 0 then append to log (n = "x", a = t.a)"#)
+        .unwrap();
+    db.execute(r#"define rule ry if s.a > 0 then append to log (n = "y", a = s.a)"#)
+        .unwrap();
+    // a later transition adds a row to `ry`'s P-node, then fails before
+    // its recognize-act cycle
+    assert!(db
+        .execute(r#"do append s (a = 2) append s (a = "bad") end"#)
+        .is_err());
+    assert_eq!(db.pending_matches("ry").unwrap(), 2);
+    db.checkpoint(&dir).unwrap();
+    let (mut back, _report) = Ariel::recover(&dir, options).unwrap();
+    let fire = |db: &mut Ariel| -> Vec<String> {
+        db.run_rules().unwrap();
+        db.query("retrieve (log.all)")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{}{}", r[0].as_str().unwrap(), r[1].as_i64().unwrap()))
+            .collect()
+    };
+    assert_eq!(fire(&mut db), ["y1", "y2", "x1"], "ry is more recent");
+    assert_eq!(fire(&mut back), ["y1", "y2", "x1"], "recovered order");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A crash mid-append leaves a torn final record: recovery keeps every
 /// whole record, reports the tear, and truncates it away.
 #[test]

@@ -2,8 +2,9 @@
 //! cascades, halt, runaway protection, set-oriented firing, and rule
 //! lifecycle management.
 
+use ariel::network::{ReteMode, TraceEventKind};
 use ariel::storage::Value;
-use ariel::{Ariel, ArielError, EngineOptions};
+use ariel::{Ariel, ArielError, ConflictStrategy, EngineOptions};
 
 fn db_with_log() -> Ariel {
     let mut db = Ariel::new();
@@ -289,4 +290,168 @@ fn ruleset_activation_toggles_groups() {
     // toggling an already-consistent set is a no-op
     assert!(db.activate_ruleset("audit").unwrap().is_empty());
     assert!(db.activate_ruleset("no_such_set").unwrap().is_empty());
+}
+
+/// Engines on both network backends (A-TREAT and indexed Rete).
+fn both_backends(conflict: ConflictStrategy) -> [Ariel; 2] {
+    [None, Some(ReteMode::Indexed)].map(|rete_mode| {
+        Ariel::with_options(EngineOptions {
+            rete_mode,
+            conflict,
+            ..Default::default()
+        })
+    })
+}
+
+#[test]
+fn recency_counts_rows_added_after_an_earlier_firing() {
+    // b_x fires on two rows; c_z (priority 10) then re-matches b_x with a
+    // single row. Recency is the tick of the last transition that added
+    // rows to a rule's P-node, so b_x (re-matched later) fires before a_y,
+    // even though its P-node is smaller than when it first fired.
+    for mut db in both_backends(ConflictStrategy::PriorityRecency) {
+        db.set_tracing(true);
+        db.execute(
+            "create t (a = int); create s (a = int); create w (a = int); \
+             create log (n = string, a = int)",
+        )
+        .unwrap();
+        db.execute(
+            r#"define rule b_x if t.a > 0 then do append to log (n = "x", a = t.a)
+               append to s (a = t.a) append to w (a = t.a) end"#,
+        )
+        .unwrap();
+        db.execute(r#"define rule a_y if s.a > 0 then append to log (n = "y", a = s.a)"#)
+            .unwrap();
+        db.execute("define rule c_z priority 10 if w.a > 0 and w.a < 5 then append to t (a = 9)")
+            .unwrap();
+        db.execute("do append t (a = 1) append t (a = 2) end")
+            .unwrap();
+        let log: Vec<String> = db
+            .query("retrieve (log.all)")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{}{}", r[0].as_str().unwrap(), r[1].as_i64().unwrap()))
+            .collect();
+        let backend = db.network().rete_mode();
+        assert_eq!(log, ["x1", "x2", "x9", "y1", "y2", "y9"], "{backend:?}");
+        // each scheduling records how many rules were eligible at that
+        // moment, the chosen one included
+        let schedule: Vec<(String, u64)> = db
+            .trace_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::AgendaSchedule { rule, eligible } => {
+                    let name = db.rules().iter().find(|r| r.id.0 == rule)?.name.clone();
+                    Some((name, eligible))
+                }
+                _ => None,
+            })
+            .collect();
+        let expected =
+            [("b_x", 1), ("c_z", 2), ("b_x", 2), ("a_y", 1)].map(|(n, e)| (n.to_string(), e));
+        assert_eq!(schedule, expected, "{backend:?}");
+    }
+}
+
+/// A seeded rule base over relations `r0..r3`: single-variable and join
+/// conditions with mixed priorities; actions log their firing, append to
+/// a higher-numbered relation (so every cascade ends) and may delete from
+/// one, retracting other rules' matches.
+fn random_rule_base(rng: &mut u64, rules: usize) -> Vec<String> {
+    let mut next = |n: u64| {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng % n
+    };
+    let mut defs = Vec::new();
+    for i in 0..rules {
+        let src = next(3) as usize;
+        let priority = [0, 0, 1, 5][next(4) as usize];
+        // the highest relation the condition reads
+        let (cond, top) = match next(3) {
+            0 => (format!("r{src}.a > {}", next(6)), src),
+            1 => (format!("r{src}.a < {}", 3 + next(6)), src),
+            _ => {
+                let src = src.min(1);
+                (format!("r{src}.a = r{}.a", src + 1), src + 1)
+            }
+        };
+        let src = src.min(top);
+        let dst = top + 1 + next((3 - top) as u64) as usize;
+        let mut action = format!(
+            r#"append to log (n = "p{i}", a = r{src}.a) append to r{dst} (a = r{src}.a + {})"#,
+            next(2)
+        );
+        if next(3) == 0 {
+            let victim = next(4);
+            action.push_str(&format!(
+                " delete r{victim} where r{victim}.a = {}",
+                next(8)
+            ));
+        }
+        defs.push(format!(
+            "define rule p{i} priority {priority} if {cond} then do {action} end"
+        ));
+    }
+    defs
+}
+
+#[test]
+fn randomized_cascades_fire_identically_on_both_backends() {
+    // the engine checks its agenda against a scan of every P-node and
+    // against `agenda::select` before each firing (debug builds); this
+    // drives that check through cascades with priorities and with deletes
+    // that retract pending matches, and requires both backends to fire the
+    // same rules in the same order
+    for seed in 1..=12u64 {
+        let conflict = if seed % 4 == 0 {
+            ConflictStrategy::PriorityName
+        } else {
+            ConflictStrategy::PriorityRecency
+        };
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let defs = random_rule_base(&mut rng, 8);
+        let mut runs = Vec::new();
+        for mut db in both_backends(conflict) {
+            db.execute(
+                "create r0 (a = int); create r1 (a = int); create r2 (a = int); \
+                 create r3 (a = int); create log (n = string, a = int)",
+            )
+            .unwrap();
+            for def in &defs {
+                db.execute(def).unwrap();
+            }
+            let mut rng = seed;
+            let mut outcomes = Vec::new();
+            for _ in 0..25 {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let x = (rng >> 33) % 8;
+                let cmd = match (rng >> 40) % 4 {
+                    0 => format!("append r0 (a = {x})"),
+                    1 => format!("do append r0 (a = {x}) append r1 (a = {}) end", x + 1),
+                    2 => format!("delete r1 where r1.a = {x}"),
+                    _ => format!("append r1 (a = {x})"),
+                };
+                outcomes.push(db.execute(&cmd).map(|_| ()).map_err(|e| e.to_string()));
+            }
+            // firing order: the rule name of each log row, one entry per
+            // firing (a firing's rows are contiguous)
+            let mut firings: Vec<String> = Vec::new();
+            let mut logged: Vec<(String, i64)> = Vec::new();
+            for row in db.query("retrieve (log.all)").unwrap().rows {
+                let name = row[0].as_str().unwrap().to_string();
+                if firings.last() != Some(&name) {
+                    firings.push(name.clone());
+                }
+                logged.push((name, row[1].as_i64().unwrap()));
+            }
+            logged.sort();
+            runs.push((outcomes, firings, logged, db.stats().firings));
+        }
+        assert!(runs[0].3 > 0, "seed {seed} fired nothing");
+        assert_eq!(runs[0], runs[1], "seed {seed}: A-TREAT vs Rete");
+    }
 }
