@@ -61,14 +61,6 @@ pub struct EngineOptions {
     /// activating an event or transition rule fails. `None` (the default)
     /// is the paper's A-TREAT network.
     pub rete_mode: Option<ReteMode>,
-    /// Fan β-join probe work across a worker-thread pool (A-TREAT backend
-    /// only; the Rete backends stay sequential). Off by default. Results
-    /// are identical to the sequential path — see `docs/CONCURRENCY.md`
-    /// for the visibility discipline that makes this hold.
-    pub parallel_match: bool,
-    /// Worker threads for the parallel match path; 0 (the default) means
-    /// one per available core. Only meaningful with `parallel_match` on.
-    pub match_threads: usize,
     /// Intern string values on relation writes, replacing owned strings
     /// with `Copy` symbol handles so the match path compares and hashes
     /// strings as integers. On by default; `false` keeps the legacy owned
@@ -77,11 +69,11 @@ pub struct EngineOptions {
     pub intern_strings: bool,
     /// Upper bound on the number of client requests the server front-end
     /// (`ariel-server`) coalesces into one transition when consecutive
-    /// pending requests are all plain appends. Batching feeds
-    /// [`Ariel::execute_transition`] long positive token runs — exactly
-    /// the shape the parallel match path carves into parallel jobs — at
-    /// the cost of merging concurrent clients' appends into a single
-    /// logical event set (see `docs/SERVER.md`). `1` disables
+    /// pending requests are all plain appends. Batching runs many
+    /// requests through one [`Ariel::execute_transition`] — one Δ-set and
+    /// one recognize-act cycle instead of one per request — at the cost
+    /// of merging concurrent clients' appends into a single logical event
+    /// set (see `docs/SERVER.md`). `1` disables
     /// cross-request coalescing. The engine itself never reads this; it
     /// is plumbed through [`EngineOptions`] so a server and its engine
     /// are configured in one place.
@@ -105,8 +97,6 @@ impl Default for EngineOptions {
             join_indexing: true,
             composite_join_keys: true,
             rete_mode: None,
-            parallel_match: false,
-            match_threads: 0,
             intern_strings: true,
             serve_batch: 64,
             durability: Durability::Off,
@@ -276,39 +266,6 @@ impl EngineNetwork {
             EngineNetwork::Rete(n) => Some(n.mode()),
         }
     }
-
-    /// Whether the parallel match path is enabled (always `false` on the
-    /// sequential Rete backends).
-    pub fn parallel_match(&self) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => n.parallel_match(),
-            EngineNetwork::Rete(_) => false,
-        }
-    }
-
-    fn set_parallel_match(&mut self, on: bool) -> bool {
-        match self {
-            EngineNetwork::Treat(n) => {
-                n.set_parallel_match(on);
-                true
-            }
-            EngineNetwork::Rete(_) => !on, // can't turn it on, off is a no-op
-        }
-    }
-
-    /// Configured worker thread count for the parallel path (0 = auto).
-    pub fn match_threads(&self) -> usize {
-        match self {
-            EngineNetwork::Treat(n) => n.match_threads(),
-            EngineNetwork::Rete(_) => 0,
-        }
-    }
-
-    fn set_match_threads(&mut self, threads: usize) {
-        if let EngineNetwork::Treat(n) = self {
-            n.set_match_threads(threads);
-        }
-    }
 }
 
 /// Cumulative engine statistics.
@@ -437,8 +394,6 @@ impl Ariel {
                 let mut n = Network::new();
                 n.set_join_indexing(options.join_indexing);
                 n.set_composite_keys(options.composite_join_keys);
-                n.set_parallel_match(options.parallel_match);
-                n.set_match_threads(options.match_threads);
                 EngineNetwork::Treat(n)
             }
             Some(mode) => {
@@ -1100,50 +1055,6 @@ impl Ariel {
         self.obs.is_some()
     }
 
-    // ----- parallel match -------------------------------------------------------
-
-    /// Enable or disable the parallel match path (`\parallel on|off`).
-    /// Returns an error on the Rete backends, which stay sequential.
-    /// While a flight recorder is installed the network takes the
-    /// sequential path even with this on (see `docs/CONCURRENCY.md`).
-    pub fn set_parallel_match(&mut self, on: bool) -> ArielResult<()> {
-        if !self.network.set_parallel_match(on) {
-            return Err(ArielError::Query(ariel_query::QueryError::Semantic(
-                "parallel match requires the A-TREAT backend (Rete is sequential)".into(),
-            )));
-        }
-        self.options.parallel_match = on;
-        Ok(())
-    }
-
-    /// Whether the parallel match path is enabled.
-    pub fn parallel_match(&self) -> bool {
-        self.network.parallel_match()
-    }
-
-    /// Set the worker thread count for the parallel match path
-    /// (`\parallel threads <n>`; 0 = one per available core). Takes
-    /// effect on the next transition.
-    pub fn set_match_threads(&mut self, threads: usize) {
-        self.options.match_threads = threads;
-        self.network.set_match_threads(threads);
-    }
-
-    /// Configured worker thread count (0 = auto).
-    pub fn match_threads(&self) -> usize {
-        self.network.match_threads()
-    }
-
-    /// Permute how the parallel path deals join seeds to worker deques
-    /// with a seeded shuffle (no-op on the Rete backends). Results are
-    /// scheduling-independent; this hook exists for the stress tests that
-    /// prove it.
-    pub fn set_match_shard_seed(&mut self, seed: Option<u64>) {
-        if let EngineNetwork::Treat(n) = &mut self.network {
-            n.set_shard_seed(seed);
-        }
-    }
-
     // ----- tracing (flight recorder) --------------------------------------------
 
     /// Enable or disable the flight-recorder trace tier: a bounded ring
@@ -1365,15 +1276,12 @@ mod tests {
         assert!(opts.join_indexing, "join indexing is on by default");
         assert!(opts.composite_join_keys, "composite keys are on by default");
         assert!(!opts.tracing, "tracing is off by default");
-        assert!(!opts.parallel_match, "parallel match is off by default");
-        assert_eq!(opts.match_threads, 0, "thread count defaults to auto");
         assert!(opts.intern_strings, "string interning is on by default");
         assert_eq!(opts.durability, Durability::Off, "no logging by default");
         let db = Ariel::new();
         assert!(db.wal_dir().is_none(), "no durability dir until checkpoint");
         assert_eq!(db.wal_records(), 0);
         assert!(db.catalog().intern_strings());
-        assert!(!db.parallel_match());
         assert!(!db.options().cache_action_plans);
         assert!(!db.tracing(), "no recorder allocated by default");
         assert_eq!(db.trace_limit(), DEFAULT_TRACE_CAPACITY);

@@ -14,22 +14,19 @@
 //!   its stabbing queries (probe count, nodes visited, marker hits).
 //!
 //! All three use *atomic* interior mutability so shared-reference code
-//! paths — `IntervalSkipList::stab` takes `&self` — can record without
-//! threading `&mut` through the search routines, **and** so the structures
-//! that embed them are `Sync`: the parallel match path (see
-//! `docs/CONCURRENCY.md`) shares the discrimination network across scoped
-//! worker threads by `&`-reference. All accesses are `Relaxed`; the
-//! counters are statistics whose totals are sums, which are independent of
-//! the order increments land in.
+//! paths — `IntervalSkipList::stab` takes `&self`, and so do the join
+//! routines — can record without threading `&mut` through the search
+//! routines. All accesses are `Relaxed`; the counters are statistics
+//! whose totals are sums, which are independent of the order increments
+//! land in.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A shared `u64` counter: a relaxed [`AtomicU64`] exposing the `Cell` API.
 ///
-/// `get`/`set` mirror `Cell<u64>` so single-threaded call sites read the
-/// same as before the match path went parallel; `add` is the one-word
-/// increment hot paths use. `Clone` snapshots the current value.
+/// `get`/`set` mirror `Cell<u64>` so call sites read like a `Cell`;
+/// `add` is the one-word increment hot paths use. `Clone` snapshots the current value.
 #[derive(Default)]
 pub struct Counter(AtomicU64);
 

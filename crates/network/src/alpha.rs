@@ -150,9 +150,8 @@ impl AlphaEntry {
 }
 
 /// Always-on per-node counters (see `crate::obs` for the two-tier
-/// observability design). Atomic [`Counter`]s because the join routines
-/// hold `&self`, and because the parallel match path (`docs/CONCURRENCY.md`)
-/// probes α-memories from several worker threads at once.
+/// observability design). Interior-mutable [`Counter`]s because the join
+/// routines record through `&self`.
 #[derive(Debug, Clone, Default)]
 pub struct AlphaCounters {
     /// α-tests run against this node (selection-network candidates).

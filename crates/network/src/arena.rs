@@ -7,15 +7,16 @@
 //! recycle the buffers instead — `take` hands back a previously-used
 //! buffer (cleared, capacity intact), `give` returns it.
 //!
-//! Pools live in `thread_local!` storage at their use sites, which gives
-//! the parallel match path one arena per worker for free: scoped-pool
-//! workers are persistent threads, so each worker's buffers are reused
-//! across batches without any cross-thread synchronization, and the
-//! sequential path is just the main thread's arena. Dropping a thread
-//! drops its arena.
+//! Pools live in `thread_local!` storage at their use sites: the join
+//! routines hold only `&self`, so the scratch cannot live in the network
+//! itself, and a thread-local arena needs no synchronization. Match runs
+//! on whichever thread owns the engine (the REPL's, or the server's
+//! engine thread once `\serve` moves it there); dropping a thread drops
+//! its arena.
 //!
 //! Stats (takes / reuses / high-water bytes) are global atomics so the
-//! "peak scratch" figure in `BENCH_mem.json` aggregates across workers.
+//! "peak scratch" figure in `BENCH_mem.json` covers every thread that
+//! ever ran match.
 
 use crate::alpha::AlphaId;
 use ariel_islist::Counter;
@@ -112,9 +113,7 @@ impl<T> Pool<T> {
         self.retained += buf.capacity() * std::mem::size_of::<T>();
         self.free.push(buf);
         let g = global();
-        // monotone high-water over this pool's retained bytes; races
-        // between threads can only under-report transiently, which is
-        // fine for a peak estimate
+        // monotone high-water over this pool's retained bytes
         if self.retained as u64 > g.high_water.get() {
             g.high_water.set(self.retained as u64);
         }
@@ -147,10 +146,7 @@ pub fn with_pool<T, R>(
 
 // ---- the match path's concrete arenas -----------------------------------
 //
-// One `thread_local!` per scratch shape. The sequential path uses the main
-// thread's cells; each parallel worker gets its own. A buffer may be taken
-// on one thread and given back on another (join results cross from worker
-// to merge thread) — that just migrates capacity between arenas.
+// One `thread_local!` per scratch shape, used by the thread running match.
 
 thread_local! {
     static CANDIDATES: RefCell<Pool<AlphaId>> = RefCell::new(Pool::default());

@@ -14,12 +14,11 @@
 //!    insert. With the flag off none of this exists and the match path
 //!    pays nothing beyond the tier-1 counters.
 //!
-//! Everything uses *thread-safe* interior mutability (atomic [`Counter`]s,
-//! `Mutex`-guarded maps) because the join routines traverse the network
-//! through `&self` — and, under the parallel match path
-//! (`docs/CONCURRENCY.md`), from several worker threads at once. The maps
-//! are only locked briefly per phase record; with observability off none of
-//! this is reached.
+//! Everything uses interior mutability (atomic [`Counter`]s,
+//! `Mutex`-guarded maps) because the join routines record through `&self`.
+//! Match runs on one thread, so the locks are never contended; the maps
+//! are only locked briefly per phase record, and with observability off
+//! none of this is reached.
 
 use crate::alpha::RuleId;
 use ariel_islist::{Counter, Histogram};

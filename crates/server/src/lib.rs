@@ -3,12 +3,10 @@
 //! A TCP front-end for the Ariel active DBMS: a hand-rolled
 //! length-prefixed binary protocol (blocking I/O, no async runtime), a
 //! session manager that multiplexes any number of client connections
-//! onto one engine through the `scoped-pool` workers, and per-transition
+//! onto one engine thread that owns the engine, and per-transition
 //! **write batching** — consecutive append-only requests from different
-//! sessions coalesce into a single transition, handing
-//! `Network::process_batch` the long positive token runs the parallel
-//! match path carves into jobs (see `docs/SERVER.md` and
-//! `docs/CONCURRENCY.md`).
+//! sessions coalesce into a single transition, one Δ-set and one
+//! recognize-act cycle for the whole group (see `docs/SERVER.md`).
 //!
 //! ```
 //! use ariel::Ariel;

@@ -1,6 +1,6 @@
-//! The server: accept loop, per-connection reader threads, and a
-//! `scoped-pool` executor stage that multiplexes every session's requests
-//! onto the one engine with per-transition write batching.
+//! The server: accept loop, per-connection reader threads, and one engine
+//! thread that owns the [`Ariel`] and runs every session's requests with
+//! per-transition write batching.
 //!
 //! ## Threading model
 //!
@@ -12,8 +12,8 @@
 //!                               │ pop; pop further *consecutive*
 //!                               │ append-only entries → one group
 //!                               ▼
-//!                    executor workers (vendor/scoped-pool, N = workers)
-//!                               │ one Mutex<Ariel>: group → ONE transition
+//!                  engine thread (the caller of Server::run)
+//!                               │ owns the Ariel: group → ONE transition
 //!                               ▼
 //!                        reply channel → reader writes the result frame
 //! ```
@@ -22,19 +22,24 @@
 //! interleaved at the byte level and a session's replies are in request
 //! order (a reader does not read the next frame until the previous reply
 //! is on the wire — clients may still pipeline; extra frames just wait in
-//! the kernel buffer). Executors never touch a socket, so the engine lock
-//! is never held across a blocking network write.
+//! the kernel buffer). The engine thread never touches a socket, so it
+//! never waits on a blocking network write. Metrics requests (the
+//! `metrics` and `metrics-prom` frames and the `GET /metrics` shim) are
+//! queue entries too: readers never touch the engine.
+//!
+//! A reader checks the shutdown flag and pushes its entry under the queue
+//! lock, and the engine thread exits only when it finds the queue empty
+//! with the flag set, under the same lock — so every queued entry gets a
+//! reply.
 //!
 //! ## Write batching
 //!
-//! An entry whose commands are all plain `append`s is *batchable*. An
-//! executor that pops one keeps popping while the queue front stays
-//! batchable, up to [`ariel::EngineOptions::serve_batch`] commands, and runs the
-//! whole group through [`Ariel::execute_transition`] — one Δ-set, one
-//! recognize-act cycle, and one long positive token run, which is exactly
-//! the shape `Network::process_batch` carves into parallel jobs when the
-//! parallel match path is on. Each session is acked with its own change
-//! counts. Two semantic consequences, both documented in
+//! An entry whose commands are all plain `append`s is *batchable*. The
+//! engine thread, having popped one, keeps popping while the queue front
+//! stays batchable, up to [`ariel::EngineOptions::serve_batch`] commands,
+//! and runs the whole group through [`Ariel::execute_transition`] — one
+//! Δ-set and one recognize-act cycle. Each session is acked with its own
+//! change counts. Two semantic consequences, both documented in
 //! `docs/SERVER.md`: a batched group forms a single logical-event
 //! transition (concurrent clients' appends may merge net effects), and a
 //! notification raised by a batched transition is delivered to every
@@ -56,6 +61,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a blocked read/accept waits before re-checking the shutdown
@@ -71,9 +77,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// [`ariel::EngineOptions`]).
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Executor worker threads; 0 = one per available core, capped at 8
-    /// (the engine lock serializes transitions, so more buys nothing).
-    pub workers: usize,
     /// Record per-opcode/per-session latency telemetry and the slow log
     /// (default `true`; off means no clock reads on the request path).
     pub telemetry: bool,
@@ -91,7 +94,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            workers: 0,
             telemetry: true,
             slow_capacity: 32,
             slow_threshold_ns: 0,
@@ -119,6 +121,9 @@ pub struct ServerStats {
     pub engine_errors: u64,
     /// Protocol violations (connection closed).
     pub protocol_errors: u64,
+    /// Accepted connections closed at once because no reader thread
+    /// could be spawned for them.
+    pub rejected_sessions: u64,
     /// Combined transitions executed (groups, including size-1 groups).
     pub batches: u64,
     /// Requests that rode in a group of ≥ 2 (cross-session coalescing).
@@ -134,13 +139,14 @@ impl ServerStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"sessions\":{},\"commands\":{},\"queries\":{},\"engine_errors\":{},\
-             \"protocol_errors\":{},\"batches\":{},\"batched_requests\":{},\
-             \"max_batch\":{},\"batch_hist\":[{}]}}",
+             \"protocol_errors\":{},\"rejected_sessions\":{},\"batches\":{},\
+             \"batched_requests\":{},\"max_batch\":{},\"batch_hist\":[{}]}}",
             self.sessions,
             self.commands,
             self.queries,
             self.engine_errors,
             self.protocol_errors,
+            self.rejected_sessions,
             self.batches,
             self.batched_requests,
             self.max_batch,
@@ -171,12 +177,50 @@ enum ReqKind {
     Query,
 }
 
-/// One parsed request waiting for an executor.
+/// What a queue entry asks of the engine thread.
+enum Job {
+    /// A `command` or `query` frame's parsed commands.
+    Run {
+        cmds: Vec<Command>,
+        /// All commands are plain `append`s — eligible for group
+        /// coalescing.
+        batchable: bool,
+    },
+    /// The `metrics` frame: server, telemetry and engine JSON.
+    Metrics,
+    /// The `metrics-prom` frame and the `GET /metrics` shim.
+    MetricsProm,
+}
+
+/// A reply frame: opcode and payload.
+type Reply = (Opcode, Vec<u8>);
+
+/// One request waiting for the engine thread.
 struct Entry {
-    cmds: Vec<Command>,
-    /// All commands are plain `append`s — eligible for group coalescing.
-    batchable: bool,
-    reply: mpsc::Sender<(Opcode, Vec<u8>)>,
+    job: Job,
+    reply: mpsc::Sender<Reply>,
+}
+
+impl Entry {
+    /// The commands of a `Run` entry (none for a metrics entry).
+    fn cmds(&self) -> &[Command] {
+        match &self.job {
+            Job::Run { cmds, .. } => cmds,
+            Job::Metrics | Job::MetricsProm => &[],
+        }
+    }
+
+    /// Command count of a batchable entry; `None` for anything that must
+    /// run on its own.
+    fn batch_len(&self) -> Option<usize> {
+        match &self.job {
+            Job::Run {
+                cmds,
+                batchable: true,
+            } => Some(cmds.len()),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -185,11 +229,10 @@ struct Queue {
 }
 
 struct Shared {
-    /// `None` only after [`Server::run`] has taken the engine back out,
-    /// which happens strictly after every thread that could lock it joined.
-    engine: Mutex<Option<Ariel>>,
     queue: Mutex<Queue>,
     queue_cv: Condvar,
+    /// Set only while holding `queue`, so a reader's check-and-push and
+    /// the engine thread's empty-and-exit check cannot interleave.
     shutdown: AtomicBool,
     serve_batch: usize,
     next_session: AtomicU32,
@@ -198,11 +241,12 @@ struct Shared {
     queries: AtomicU64,
     engine_errors: AtomicU64,
     protocol_errors: AtomicU64,
-    batch: Mutex<BatchStats>,
+    rejected_sessions: AtomicU64,
     telemetry: Telemetry,
     logger: Logger,
 }
 
+/// Group counters, kept by the engine thread.
 #[derive(Default)]
 struct BatchStats {
     batches: u64,
@@ -215,15 +259,22 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+fn shutting_down_frame() -> Reply {
+    (
+        Opcode::Error,
+        encode_error(ErrorCode::ShuttingDown, "server is shutting down"),
+    )
+}
+
 impl Shared {
-    fn stats(&self) -> ServerStats {
-        let b = lock(&self.batch);
+    fn stats(&self, b: &BatchStats) -> ServerStats {
         ServerStats {
             sessions: self.sessions.load(Ordering::Relaxed),
             commands: self.commands.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             engine_errors: self.engine_errors.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            rejected_sessions: self.rejected_sessions.load(Ordering::Relaxed),
             batches: b.batches,
             batched_requests: b.batched_requests,
             max_batch: b.max_batch,
@@ -232,12 +283,34 @@ impl Shared {
     }
 
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _queue = lock(&self.queue);
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
         self.queue_cv.notify_all();
     }
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Queue `job` for the engine thread and wait for its reply; `None`
+    /// once shutdown has begun. The engine thread answers every entry it
+    /// pops and exits only on an empty queue, so the wait always ends.
+    fn ask(&self, job: Job, tx: &mpsc::Sender<Reply>, rx: &mpsc::Receiver<Reply>) -> Option<Reply> {
+        {
+            let mut q = lock(&self.queue);
+            if self.shutting_down() {
+                return None;
+            }
+            q.entries.push_back(Entry {
+                job,
+                reply: tx.clone(),
+            });
+            self.telemetry.queue_push();
+        }
+        self.queue_cv.notify_one();
+        rx.recv().ok()
     }
 }
 
@@ -248,7 +321,7 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
-    workers: usize,
+    engine: Ariel,
 }
 
 /// A failed [`Server::bind`]. Carries the engine back out so a bind
@@ -323,15 +396,10 @@ impl Server {
             options.slow_threshold_ns,
         );
         let serve_batch = engine.options().serve_batch.max(1);
-        let workers = match options.workers {
-            0 => std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-            n => n,
-        };
         Ok(Server {
             listener,
             addr,
             shared: Arc::new(Shared {
-                engine: Mutex::new(Some(engine)),
                 queue: Mutex::new(Queue::default()),
                 queue_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
@@ -342,11 +410,11 @@ impl Server {
                 queries: AtomicU64::new(0),
                 engine_errors: AtomicU64::new(0),
                 protocol_errors: AtomicU64::new(0),
-                batch: Mutex::new(BatchStats::default()),
+                rejected_sessions: AtomicU64::new(0),
                 telemetry,
                 logger,
             }),
-            workers,
+            engine,
         })
     }
 
@@ -356,38 +424,32 @@ impl Server {
     }
 
     /// Serve until a client sends `shutdown` (or a handle requests it).
-    /// Returns the accumulated stats and the engine, whose state survives
-    /// the server — `\serve` hands the REPL database to a server and gets
-    /// it back when the server stops.
+    /// The calling thread becomes the engine thread. Returns the
+    /// accumulated stats and the engine, whose state survives the server
+    /// — `\serve` hands the REPL database to a server and gets it back
+    /// when the server stops.
     pub fn run(self) -> (ServerStats, Ariel) {
-        let shared = Arc::clone(&self.shared);
-        self.listener
+        let Server {
+            listener,
+            shared,
+            mut engine,
+            ..
+        } = self;
+        listener
             .set_nonblocking(true)
             .expect("listener nonblocking");
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
-            let readers = Arc::clone(&readers);
-            let listener = self.listener;
             std::thread::Builder::new()
                 .name("ariel-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &readers))
+                .spawn(move || accept_loop(&listener, &shared))
                 .expect("spawn accept thread")
         };
-        // the executor stage: scoped-pool workers looping until shutdown
-        let pool = scoped_pool::Pool::new(self.workers);
-        pool.run(self.workers, &|_w| executor_loop(&shared));
-        drop(pool); // joins the workers
-        let _ = accept.join();
-        for r in lock(&readers).drain(..) {
+        let batch = engine_loop(&shared, &mut engine);
+        for r in accept.join().unwrap_or_default() {
             let _ = r.join();
         }
-        let stats = shared.stats();
-        let engine = lock(&shared.engine)
-            .take()
-            .expect("engine is taken back exactly once, at the end of run()");
-        (stats, engine)
+        (shared.stats(&batch), engine)
     }
 
     /// Run on a background thread; the handle can stop the server and
@@ -431,25 +493,43 @@ impl ServerHandle {
 
 // ----- accept --------------------------------------------------------------
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    readers: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
+/// Accept sessions until shutdown; returns the readers still unjoined.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         if shared.shutting_down() {
-            return;
+            return readers;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                // an exited but unjoined thread keeps its stack mapped, so
+                // session churn (every `GET /metrics` scrape is one) would
+                // grow memory without bound
+                let (done, live): (Vec<_>, Vec<_>) =
+                    readers.into_iter().partition(JoinHandle::is_finished);
+                readers = live;
+                for r in done {
+                    let _ = r.join();
+                }
                 let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
                 shared.sessions.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                let session_shared = Arc::clone(shared);
+                // on failure the closure, and with it the stream, is
+                // dropped: the connection closes
+                match std::thread::Builder::new()
                     .name(format!("ariel-session-{id}"))
-                    .spawn(move || reader_loop(stream, id, &shared))
-                    .expect("spawn session reader");
-                lock(readers).push(handle);
+                    .spawn(move || reader_loop(stream, id, &session_shared))
+                {
+                    Ok(handle) => readers.push(handle),
+                    Err(e) => {
+                        shared.rejected_sessions.fetch_add(1, Ordering::Relaxed);
+                        shared.logger.log(
+                            LogLevel::Error,
+                            "reject",
+                            format_args!("session={id} error={e:?}"),
+                        );
+                    }
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -626,17 +706,17 @@ fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> 
         );
     }
 
-    let (reply_tx, reply_rx) = mpsc::channel::<(Opcode, Vec<u8>)>();
+    let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+    let shutting_down = |stream: &mut TcpStream| {
+        let (op, body) = shutting_down_frame();
+        let _ = send(stream, op, &body);
+        true
+    };
     loop {
         match read_session_frame(&mut stream, shared) {
             ReadOutcome::Frame(opcode, payload) => {
                 if shared.shutting_down() {
-                    let _ = send(
-                        &mut stream,
-                        Opcode::Error,
-                        &encode_error(ErrorCode::ShuttingDown, "server is shutting down"),
-                    );
-                    return true;
+                    return shutting_down(&mut stream);
                 }
                 match opcode {
                     Opcode::Command | Opcode::Query => {
@@ -660,27 +740,16 @@ fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> 
                             Ok(cmds) => {
                                 let batchable = !cmds.is_empty()
                                     && cmds.iter().all(|c| matches!(c, Command::Append { .. }));
-                                {
-                                    let mut q = lock(&shared.queue);
-                                    q.entries.push_back(Entry {
-                                        cmds,
-                                        batchable,
-                                        reply: reply_tx.clone(),
-                                    });
+                                // wait for the engine thread's reply, then put
+                                // it on the wire before reading the next frame
+                                let job = Job::Run { cmds, batchable };
+                                let Some((op, body)) = shared.ask(job, &reply_tx, &reply_rx) else {
+                                    return shutting_down(&mut stream);
+                                };
+                                if !send(&mut stream, op, &body) {
+                                    return true;
                                 }
-                                shared.telemetry.queue_push();
-                                shared.queue_cv.notify_one();
-                                // wait for the executor's reply, then put it
-                                // on the wire before reading the next frame
-                                match wait_reply(&reply_rx, shared) {
-                                    Some((op, body)) => {
-                                        if !send(&mut stream, op, &body) {
-                                            return true;
-                                        }
-                                        finish_request(shared, opcode, session, t0, &src);
-                                    }
-                                    None => return true,
-                                }
+                                finish_request(shared, opcode, session, t0, &src);
                             }
                             Err(msg) => {
                                 shared.engine_errors.fetch_add(1, Ordering::Relaxed);
@@ -695,26 +764,17 @@ fn reader_session(mut stream: TcpStream, session: u32, shared: &Arc<Shared>) -> 
                             }
                         }
                     }
-                    Opcode::Metrics => {
-                        shared.telemetry.count(Opcode::Metrics, session);
-                        let engine_json = lock(&shared.engine)
-                            .as_ref()
-                            .expect("engine present while sessions run")
-                            .metrics_json();
-                        let json = format!(
-                            "{{\"server\":{},\"telemetry\":{},\"engine\":{}}}",
-                            shared.stats().to_json(),
-                            shared.telemetry.to_json(),
-                            engine_json
-                        );
-                        if !send(&mut stream, Opcode::Metrics, json.as_bytes()) {
-                            return true;
-                        }
-                    }
-                    Opcode::MetricsProm => {
-                        shared.telemetry.count(Opcode::MetricsProm, session);
-                        let text = render_prometheus_all(shared);
-                        if !send(&mut stream, Opcode::MetricsProm, text.as_bytes()) {
+                    Opcode::Metrics | Opcode::MetricsProm => {
+                        shared.telemetry.count(opcode, session);
+                        let job = if opcode == Opcode::Metrics {
+                            Job::Metrics
+                        } else {
+                            Job::MetricsProm
+                        };
+                        let Some((op, body)) = shared.ask(job, &reply_tx, &reply_rx) else {
+                            return shutting_down(&mut stream);
+                        };
+                        if !send(&mut stream, op, &body) {
                             return true;
                         }
                     }
@@ -806,22 +866,26 @@ fn serve_http_metrics(stream: &mut TcpStream, session: u32, shared: &Shared) {
         "http_metrics",
         format_args!("session={session}"),
     );
-    let body = render_prometheus_all(shared);
-    let response = format!(
+    let (tx, rx) = mpsc::channel();
+    let Some((_, body)) = shared.ask(Job::MetricsProm, &tx, &rx) else {
+        return; // shutting down: just close
+    };
+    let head = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
     );
-    let _ = stream.write_all(response.as_bytes());
+    let _ = stream
+        .write_all(head.as_bytes())
+        .and_then(|()| stream.write_all(&body));
 }
 
 /// The full Prometheus exposition: server request counters, batch-size
 /// distribution, telemetry families, then the engine's own families.
-fn render_prometheus_all(shared: &Shared) -> String {
+fn render_prometheus_all(shared: &Shared, batch: &BatchStats, engine: &Ariel) -> String {
     use ariel::obs::{write_prom_family, write_prom_metric, write_prom_sample};
     let mut out = String::new();
-    let stats = shared.stats();
+    let stats = shared.stats(batch);
     write_prom_metric(
         &mut out,
         "ariel_server_sessions_total",
@@ -856,6 +920,13 @@ fn render_prometheus_all(shared: &Shared) -> String {
         "counter",
         "Protocol violations (connection closed).",
         stats.protocol_errors,
+    );
+    write_prom_metric(
+        &mut out,
+        "ariel_server_rejected_sessions_total",
+        "counter",
+        "Connections closed at once because no reader thread could be spawned.",
+        stats.rejected_sessions,
     );
     write_prom_metric(
         &mut out,
@@ -896,33 +967,8 @@ fn render_prometheus_all(shared: &Shared) -> String {
         );
     }
     shared.telemetry.render_prometheus(&mut out);
-    let engine_prom = lock(&shared.engine)
-        .as_ref()
-        .expect("engine present while sessions run")
-        .metrics_prometheus();
-    out.push_str(&engine_prom);
+    out.push_str(&engine.metrics_prometheus());
     out
-}
-
-/// Block until the executor replies, polling the shutdown flag so a
-/// drained-on-shutdown entry cannot strand its reader.
-fn wait_reply(
-    rx: &mpsc::Receiver<(Opcode, Vec<u8>)>,
-    shared: &Shared,
-) -> Option<(Opcode, Vec<u8>)> {
-    loop {
-        match rx.recv_timeout(POLL_QUANTUM) {
-            Ok(reply) => return Some(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // executors drain the queue on shutdown, so a reply (or
-                // shutting-down error) is still coming unless they are gone
-                if shared.shutting_down() {
-                    continue;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
-        }
-    }
 }
 
 fn parse_request(kind: ReqKind, src: &str) -> Result<Vec<Command>, String> {
@@ -939,74 +985,79 @@ fn parse_request(kind: ReqKind, src: &str) -> Result<Vec<Command>, String> {
     }
 }
 
-// ----- executors -----------------------------------------------------------
+// ----- engine thread --------------------------------------------------------
 
-fn executor_loop(shared: &Shared) {
+/// Answer queue entries until shutdown; returns the group counters.
+fn engine_loop(shared: &Shared, engine: &mut Ariel) -> BatchStats {
+    let mut batch = BatchStats::default();
     loop {
         let group = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(first) = q.entries.pop_front() {
                     let mut group = vec![first];
-                    if group[0].batchable {
-                        // coalesce while the queue front stays batchable,
-                        // bounded by serve_batch *commands*
-                        let mut cmds = group[0].cmds.len();
-                        while cmds < shared.serve_batch {
-                            match q.entries.front() {
-                                Some(e)
-                                    if e.batchable && cmds + e.cmds.len() <= shared.serve_batch =>
-                                {
-                                    let e = q.entries.pop_front().expect("front checked");
-                                    cmds += e.cmds.len();
-                                    group.push(e);
-                                }
-                                _ => break,
+                    // coalesce while the queue front stays batchable,
+                    // bounded by serve_batch *commands*
+                    if let Some(mut cmds) = group[0].batch_len() {
+                        while let Some(n) = q.entries.front().and_then(Entry::batch_len) {
+                            if cmds + n > shared.serve_batch {
+                                break;
                             }
+                            cmds += n;
+                            group.push(q.entries.pop_front().expect("front checked"));
                         }
                     }
-                    break Some(group);
+                    break group;
                 }
+                // empty and shutting down, under the lock readers push with
                 if shared.shutting_down() {
-                    break None;
+                    return batch;
                 }
                 q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let Some(group) = group else { return };
         shared.telemetry.queue_pop(group.len() as u64);
-        if shared.shutting_down() {
+        match group[0].job {
+            Job::Metrics => {
+                let json = format!(
+                    "{{\"server\":{},\"telemetry\":{},\"engine\":{}}}",
+                    shared.stats(&batch).to_json(),
+                    shared.telemetry.to_json(),
+                    engine.metrics_json()
+                );
+                let _ = group[0].reply.send((Opcode::Metrics, json.into_bytes()));
+            }
+            Job::MetricsProm => {
+                let text = render_prometheus_all(shared, &batch, engine);
+                let _ = group[0]
+                    .reply
+                    .send((Opcode::MetricsProm, text.into_bytes()));
+            }
             // drain: answer queued work with a shutting-down error rather
             // than mutating the engine while it is being torn down
-            for entry in &group {
-                let _ = entry.reply.send((
-                    Opcode::Error,
-                    encode_error(ErrorCode::ShuttingDown, "server is shutting down"),
-                ));
+            Job::Run { .. } if shared.shutting_down() => {
+                for entry in &group {
+                    let _ = entry.reply.send(shutting_down_frame());
+                }
             }
-            continue;
+            Job::Run { .. } => execute_group(shared, &mut batch, engine, &group),
         }
-        execute_group(shared, &group);
     }
 }
 
 /// Run one popped group: a single combined transition for a batch, or the
 /// entry's own commands otherwise, and send each entry its reply.
-fn execute_group(shared: &Shared, group: &[Entry]) {
-    let mut guard = lock(&shared.engine);
-    let engine = guard.as_mut().expect("engine present while sessions run");
-    {
-        let mut b = lock(&shared.batch);
-        b.batches += 1;
-        b.hist[bucket(group.len())] += 1;
-        b.max_batch = b.max_batch.max(group.len() as u64);
-        if group.len() > 1 {
-            b.batched_requests += group.len() as u64;
-        }
-    }
+fn execute_group(shared: &Shared, b: &mut BatchStats, engine: &mut Ariel, group: &[Entry]) {
+    b.batches += 1;
+    b.hist[bucket(group.len())] += 1;
+    b.max_batch = b.max_batch.max(group.len() as u64);
     if group.len() > 1 {
+        b.batched_requests += group.len() as u64;
         // all batchable: one transition over the concatenated appends
-        let all: Vec<Command> = group.iter().flat_map(|e| e.cmds.iter().cloned()).collect();
+        let all: Vec<Command> = group
+            .iter()
+            .flat_map(|e| e.cmds().iter().cloned())
+            .collect();
         shared.logger.log(
             LogLevel::Debug,
             "coalesce",
@@ -1020,13 +1071,12 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
                 let mut off = 0;
                 let mut replies = Vec::with_capacity(group.len());
                 for entry in group {
-                    let outs = &outputs[off..off + entry.cmds.len()];
-                    off += entry.cmds.len();
-                    let mut body = merge_outputs(outs);
+                    let n = entry.cmds().len();
+                    let mut body = merge_outputs(&outputs[off..off + n]);
+                    off += n;
                     body.notes.extend(notes.iter().cloned());
                     replies.push((entry, Ok(body)));
                 }
-                drop(guard);
                 deliver(shared, replies);
             }
             Err(_) => {
@@ -1035,7 +1085,7 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
                 let mut replies = Vec::with_capacity(group.len());
                 for entry in group {
                     let r = engine
-                        .execute_transition(&entry.cmds)
+                        .execute_transition(entry.cmds())
                         .map(|outs| {
                             let mut body = merge_outputs(&outs);
                             body.notes = render_notes(engine.drain_notifications());
@@ -1044,7 +1094,6 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
                         .map_err(|e| e.to_string());
                     replies.push((entry, r));
                 }
-                drop(guard);
                 deliver(shared, replies);
             }
         }
@@ -1054,7 +1103,6 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
             body.notes = render_notes(engine.drain_notifications());
             body
         });
-        drop(guard);
         deliver(shared, vec![(entry, r)]);
     }
 }
@@ -1063,14 +1111,14 @@ fn execute_group(shared: &Shared, group: &[Entry]) {
 /// (the batcher's unit, `do…end` semantics); anything else runs command
 /// by command exactly like the REPL.
 fn execute_entry(engine: &mut Ariel, entry: &Entry) -> Result<ResultBody, String> {
-    if entry.batchable {
+    if entry.batch_len().is_some() {
         return engine
-            .execute_transition(&entry.cmds)
+            .execute_transition(entry.cmds())
             .map(|outs| merge_outputs(&outs))
             .map_err(|e| e.to_string());
     }
-    let mut outputs = Vec::with_capacity(entry.cmds.len());
-    for cmd in &entry.cmds {
+    let mut outputs = Vec::with_capacity(entry.cmds().len());
+    for cmd in entry.cmds() {
         outputs.push(engine.execute_command(cmd).map_err(|e| e.to_string())?);
     }
     Ok(merge_outputs(&outputs))
@@ -1135,8 +1183,9 @@ fn merge_outputs(outputs: &[CmdOutput]) -> ResultBody {
     body
 }
 
-// `Ariel` must cross into the server's threads; this fails to compile if
-// a non-`Send` type sneaks back into the engine (see docs/CONCURRENCY.md).
+// `Ariel` must move into the server's engine thread (`Server::spawn` moves
+// the whole `Server`); this fails to compile if a non-`Send` type sneaks
+// back into the engine.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Ariel>();

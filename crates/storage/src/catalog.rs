@@ -2,15 +2,13 @@
 //!
 //! Shared handles are [`RelRef`], a thin wrapper over
 //! `Arc<RwLock<Relation>>`: the executor reads several relations while the
-//! DML layer mutates one, the discrimination network's virtual α-memories
-//! scan base relations mid-token-propagation, and the parallel match path
-//! (see `docs/CONCURRENCY.md`) lets several worker threads scan relations
-//! concurrently. The paper's prototype was single-threaded; the reader —
-//! writer lock preserves its semantics (match only ever *reads* relations;
-//! all writes happen in the sequential action phase) while making the
-//! catalog `Send + Sync`. `RelRef::borrow`/`borrow_mut` keep the names the
-//! engine used when the handle was an `Rc<RefCell<_>>`, so call sites read
-//! identically.
+//! DML layer mutates one, and the discrimination network's virtual
+//! α-memories scan base relations mid-token-propagation. The engine moves
+//! into the server's engine thread, so the handle must be `Send`; an
+//! `Rc<RefCell<_>>` is not, and an `Arc<T>` is `Send` only when `T` is
+//! `Sync`. The lock is never contended: one thread runs the engine.
+//! `RelRef::borrow`/`borrow_mut` keep the names the engine used when the
+//! handle was an `Rc<RefCell<_>>`, so call sites read identically.
 
 use crate::error::{StorageError, StorageResult};
 use crate::relation::Relation;
@@ -147,17 +145,6 @@ impl Catalog {
         self.relations.is_empty()
     }
 }
-
-// The whole storage layer is shared by reference across the parallel match
-// workers; keep that property machine-checked.
-const _: () = {
-    const fn assert_sync_send<T: Sync + Send>() {}
-    assert_sync_send::<Catalog>();
-    assert_sync_send::<RelRef>();
-    assert_sync_send::<crate::value::Value>();
-    assert_sync_send::<crate::tuple::Tuple>();
-    assert_sync_send::<Relation>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -118,6 +118,7 @@ fn virtual_policies_produce_identical_states() {
     for policy in policies {
         let mut db = build(policy.clone());
         apply_stream(&mut db, 0xDECAF, 150);
+        apply_batched_stream(&mut db, 0xABBA, 30);
         let emp = snapshot(&mut db, "emp");
         let audit = snapshot(&mut db, "audit");
         assert!(!audit.is_empty(), "the stream must exercise the rules");
@@ -403,6 +404,7 @@ fn treat_and_both_rete_modes_produce_identical_states() {
         for backend in backends {
             let mut db = build_backend(policy.clone(), backend);
             apply_composite_band_stream(&mut db, 0xC0FFEE, 140);
+            apply_batched_stream(&mut db, 0xABBA, 30);
             let emp = snapshot(&mut db, "emp");
             let audit = snapshot(&mut db, "audit");
             for kind in 1..=3 {
@@ -442,8 +444,9 @@ fn treat_and_both_rete_modes_produce_identical_states() {
 }
 
 /// A stream that lands several appends per transition (`do … end`), so
-/// the parallel match path sees multi-token *runs* — the case where its
-/// visibility stamps, not the pending set, keep self-joins correct.
+/// one transition carries several positive tokens on the same relation —
+/// the case where the pending set and ProcessedMemories, not the memory
+/// contents alone, decide which partners a join may see.
 fn apply_batched_stream(db: &mut Ariel, seed: u64, rounds: usize) {
     let mut rng = Rng(seed | 1);
     let mut next_id = 1000i64;
@@ -467,141 +470,6 @@ fn apply_batched_stream(db: &mut Ariel, seed: u64, rounds: usize) {
             let id = 1000 + rng.below((next_id - 1000).max(1) as u64);
             db.execute(&format!("delete emp where emp.id = {id}"))
                 .unwrap();
-        }
-    }
-}
-
-/// Parallel-match oracle: with β-join probes fanned across 1, 2 or 4
-/// workers, every virtual policy must converge to the same final state as
-/// the sequential reference — under the per-command churn stream (runs of
-/// length 1, exercising the run boundaries and sequential fallbacks) and
-/// the batched stream (long runs, exercising the visibility stamps).
-#[test]
-fn parallel_match_produces_identical_states() {
-    let policies = [
-        VirtualPolicy::AllStored,
-        VirtualPolicy::AllVirtual,
-        VirtualPolicy::SelectivityThreshold(0.3),
-    ];
-    for policy in policies {
-        let mut seq = build(policy.clone());
-        apply_stream(&mut seq, 0xFEED, 120);
-        apply_batched_stream(&mut seq, 0xABBA, 30);
-        let ref_emp = snapshot(&mut seq, "emp");
-        let ref_audit = snapshot(&mut seq, "audit");
-        assert!(!ref_audit.is_empty(), "the stream must exercise the rules");
-        for threads in [1usize, 2, 4] {
-            let mut par = build_with(EngineOptions {
-                virtual_policy: policy.clone(),
-                parallel_match: true,
-                match_threads: threads,
-                ..Default::default()
-            });
-            assert!(par.parallel_match());
-            apply_stream(&mut par, 0xFEED, 120);
-            apply_batched_stream(&mut par, 0xABBA, 30);
-            assert_eq!(
-                snapshot(&mut par, "emp"),
-                ref_emp,
-                "emp diverged: {policy:?}/{threads} threads"
-            );
-            assert_eq!(
-                snapshot(&mut par, "audit"),
-                ref_audit,
-                "audit diverged: {policy:?}/{threads} threads"
-            );
-        }
-    }
-}
-
-/// Parallel match against all three backends: the A-TREAT network runs
-/// the parallel path, the Rete baselines ignore the flag and stay
-/// sequential — every (backend, thread-count) combination must converge
-/// to the same state the sequential three-way oracle already pins down.
-#[test]
-fn parallel_match_across_backends_produces_identical_states() {
-    let backends = [None, Some(ReteMode::Indexed), Some(ReteMode::Nested)];
-    let mut reference: Option<(Rows, Rows)> = None;
-    for backend in backends {
-        for threads in [1usize, 2, 4] {
-            let mut db = Ariel::with_options(EngineOptions {
-                rete_mode: backend,
-                parallel_match: backend.is_none(),
-                match_threads: threads,
-                ..Default::default()
-            });
-            db.execute(
-                "create emp (id = int, sal = float, dno = int, jno = int); \
-                 create dept (dno = int, floor = int); \
-                 create band (lo = int, hi = float); \
-                 create audit (id = int, kind = int)",
-            )
-            .unwrap();
-            db.execute(
-                "define rule r_comp if emp.dno = dept.dno and emp.jno = dept.floor \
-                 then append to audit(id = emp.id, kind = 1)",
-            )
-            .unwrap();
-            db.execute(
-                "define rule r_band if band.lo < emp.sal and emp.sal <= band.hi \
-                 then append to audit(id = emp.id, kind = 2)",
-            )
-            .unwrap();
-            db.execute(
-                "define rule r_sel if emp.sal > 40 \
-                 then append to audit(id = emp.id, kind = 3)",
-            )
-            .unwrap();
-            apply_composite_band_stream(&mut db, 0xC0FFEE, 140);
-            let emp = snapshot(&mut db, "emp");
-            let audit = snapshot(&mut db, "audit");
-            match &reference {
-                None => reference = Some((emp, audit)),
-                Some((ref_emp, ref_audit)) => {
-                    assert_eq!(&emp, ref_emp, "emp diverged: {backend:?}/{threads}");
-                    assert_eq!(&audit, ref_audit, "audit diverged: {backend:?}/{threads}");
-                }
-            }
-        }
-    }
-}
-
-/// Scheduling-independence stress: permuting how join seeds are dealt to
-/// worker deques (seeded shuffles standing in for adversarial schedules)
-/// must not change any result, because each seed's computation is
-/// self-contained and the merge runs in token order.
-#[test]
-fn parallel_match_shard_order_stress() {
-    let mut reference: Option<(Rows, Rows)> = None;
-    for shard_seed in [
-        None,
-        Some(0x5EED_0001u64),
-        Some(0x5EED_0002),
-        Some(u64::MAX),
-    ] {
-        let mut db = build_with(EngineOptions {
-            parallel_match: true,
-            match_threads: 3,
-            ..Default::default()
-        });
-        db.set_match_shard_seed(shard_seed);
-        apply_batched_stream(&mut db, 0xD15EA5E, 40);
-        apply_stream(&mut db, 0xD15EA5E, 60);
-        let emp = snapshot(&mut db, "emp");
-        let audit = snapshot(&mut db, "audit");
-        assert!(!audit.is_empty(), "the stream must exercise the rules");
-        match &reference {
-            None => reference = Some((emp, audit)),
-            Some((ref_emp, ref_audit)) => {
-                assert_eq!(
-                    &emp, ref_emp,
-                    "emp diverged under shard seed {shard_seed:?}"
-                );
-                assert_eq!(
-                    &audit, ref_audit,
-                    "audit diverged under shard seed {shard_seed:?}"
-                );
-            }
         }
     }
 }
